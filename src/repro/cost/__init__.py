@@ -3,12 +3,6 @@
 from __future__ import annotations
 
 from repro.cost.base import CostMetric, get_metric, register_metric
-from repro.cost.batch import (
-    BATCH_CHUNK_BUDGET,
-    BatchedErrorMatrixBuilder,
-    BatchJob,
-    batch_fingerprint,
-)
 from repro.cost.color import WeightedColorMetric
 from repro.cost.gradient import GradientMetric
 from repro.cost.luminance import LuminanceMetric
@@ -50,8 +44,4 @@ __all__ = [
     "DEFAULT_TOP_K",
     "SparseErrorMatrix",
     "sparse_error_matrix",
-    "BATCH_CHUNK_BUDGET",
-    "BatchJob",
-    "BatchedErrorMatrixBuilder",
-    "batch_fingerprint",
 ]

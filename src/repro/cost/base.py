@@ -29,6 +29,13 @@ class CostMetric(ABC):
     #: Registry key; subclasses override.
     name: str = "abstract"
 
+    #: Cap on the broadcast intermediate of one Step-2 chunk, in scalar
+    #: elements (:func:`repro.cost.matrix.error_matrix`).  64 Mi keeps
+    #: each :meth:`pairwise` call wide, which is what SSD's BLAS form
+    #: needs; metrics with a scratch-reusing :meth:`pairwise_into`
+    #: override it with a cache-resident size.
+    chunk_budget: int = 64 * 1024 * 1024
+
     @abstractmethod
     def prepare(self, tiles: TileStack) -> np.ndarray:
         """Convert a ``(S, M, M[, 3])`` tile stack into ``(S, F)`` features."""
@@ -67,14 +74,15 @@ class CostMetric(ABC):
     ) -> np.ndarray | None:
         """Write the pairwise block into ``out``; may reuse ``scratch``.
 
-        The batched Step-2 builder (:mod:`repro.cost.batch`) sweeps many
-        small row chunks over one target stack and calls this per chunk,
-        threading the returned scratch buffer through the loop so the
-        broadcast intermediate is allocated once per launch instead of
-        once per chunk.  The default just delegates to :meth:`pairwise`
-        (no scratch); metrics whose kernel materialises a large
-        intermediate (SAD) override it.  Must compute values identical
-        to :meth:`pairwise` — the differential suites pin this.
+        The dense Step-2 kernel (:func:`repro.cost.matrix.fill_error_rows`)
+        sweeps row chunks of :attr:`chunk_budget` elements over one target
+        stack and calls this per chunk, threading the returned scratch
+        buffer through the loop so the broadcast intermediate is
+        allocated once per matrix instead of once per chunk.  The default
+        just delegates to :meth:`pairwise` (no scratch); metrics whose
+        kernel materialises a large intermediate (SAD) override it.  Must
+        compute values identical to :meth:`pairwise` — the chunk-invariance
+        tests pin this.
         """
         out[...] = self.pairwise(input_features, target_features)
         return scratch

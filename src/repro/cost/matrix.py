@@ -3,7 +3,9 @@
 :func:`error_matrix` builds the dense ``S x S`` matrix
 ``E[u, v] = E(I_u, T_v)`` by chunking input tiles so the broadcast
 intermediate never exceeds a memory budget (the guides' cache/memory
-rules: bound the working set, keep accesses contiguous).
+rules: bound the working set, keep accesses contiguous).  The budget is
+the metric's :attr:`~repro.cost.base.CostMetric.chunk_budget`, and one
+scratch buffer is reused by every chunk (:func:`fill_error_rows`).
 
 :func:`total_error` / :func:`total_error_of_permutation` evaluate the
 paper's Eq. (2) for a given rearrangement.
@@ -23,14 +25,14 @@ from repro.utils.validation import check_error_matrix, check_permutation
 __all__ = [
     "check_tile_stacks",
     "error_matrix",
+    "fill_error_rows",
     "total_error",
     "total_error_of_permutation",
 ]
 
-#: Default cap on the broadcast intermediate, in scalar elements.  64 Mi
-#: int16 elements is ~128 MiB — large enough to keep BLAS-free kernels busy,
-#: small enough for laptop-class machines.
-DEFAULT_CHUNK_BUDGET = 64 * 1024 * 1024
+#: Chunk budget of metrics without a scratch-reusing kernel, in scalar
+#: elements; also the sparse builder's rowwise-scoring budget.
+DEFAULT_CHUNK_BUDGET = CostMetric.chunk_budget
 
 
 def check_tile_stacks(input_tiles: TileStack, target_tiles: TileStack) -> None:
@@ -52,7 +54,7 @@ def error_matrix(
     target_tiles: TileStack,
     metric: str | CostMetric = "sad",
     *,
-    chunk_budget: int = DEFAULT_CHUNK_BUDGET,
+    chunk_budget: int | None = None,
     backend: str | ArrayBackend | None = None,
 ) -> ErrorMatrix:
     """Dense error matrix ``E[u, v] = metric(I_u, T_v)``.
@@ -62,11 +64,13 @@ def error_matrix(
     input_tiles, target_tiles:
         Tile stacks of identical shape ``(S, M, M[, 3])``.
     metric:
-        Registry name (``"sad"``, ``"ssd"``, ``"luminance"``, ``"color"``)
-        or a :class:`CostMetric` instance.
+        Registry name (``"sad"``, ``"ssd"``, ``"luminance"``, ``"color"``,
+        ``"gradient"``) or a :class:`CostMetric` instance.
     chunk_budget:
         Maximum number of scalar elements in the broadcast intermediate;
-        the input-tile axis is chunked to respect it.
+        the input-tile axis is chunked to respect it.  Defaults to the
+        metric's :attr:`~repro.cost.base.CostMetric.chunk_budget`.  The
+        result does not depend on it.
     backend:
         Array backend for the pairwise kernel (``None``/``"numpy"``,
         ``"cupy"``, ``"auto"`` — see :mod:`repro.accel.backend`).  The
@@ -79,18 +83,42 @@ def error_matrix(
     xb = get_backend(backend)
     features_in = metric.prepare(np.asarray(input_tiles))
     features_tg = metric.prepare(np.asarray(target_tiles))
-    s, f = features_in.shape
-    if chunk_budget <= 0:
-        raise ValidationError(f"chunk_budget must be positive, got {chunk_budget}")
     if not xb.is_numpy:
         features_in = xb.asarray(features_in)
         features_tg = xb.asarray(features_tg)
-    rows_per_chunk = max(1, int(chunk_budget // max(1, s * f)))
+    s = features_in.shape[0]
     out = xb.xp.empty((s, s), dtype=ERROR_DTYPE)
-    for start in range(0, s, rows_per_chunk):
-        stop = min(start + rows_per_chunk, s)
-        out[start:stop] = metric.pairwise(features_in[start:stop], features_tg)
+    fill_error_rows(metric, features_in, features_tg, out, chunk_budget)
     return np.asarray(xb.to_numpy(out), dtype=ERROR_DTYPE)
+
+
+def fill_error_rows(
+    metric: CostMetric,
+    features_in: np.ndarray,
+    features_tg: np.ndarray,
+    out: np.ndarray,
+    chunk_budget: int | None = None,
+) -> None:
+    """Write ``metric.pairwise(features_in, features_tg)`` into ``out``.
+
+    Sweeps the input rows in chunks whose broadcast intermediate holds at
+    most ``chunk_budget`` scalar elements (default: the metric's
+    :attr:`~repro.cost.base.CostMetric.chunk_budget`), threading one
+    scratch buffer through :meth:`~repro.cost.base.CostMetric.pairwise_into`
+    so it is allocated once per call, not once per chunk.  Every metric
+    kernel is row-independent, so the values do not depend on the budget.
+    """
+    budget = metric.chunk_budget if chunk_budget is None else chunk_budget
+    if budget <= 0:
+        raise ValidationError(f"chunk_budget must be positive, got {budget}")
+    rows = features_in.shape[0]
+    rows_per_chunk = max(1, int(budget // max(1, features_tg.size)))
+    scratch = None
+    for start in range(0, rows, rows_per_chunk):
+        stop = min(start + rows_per_chunk, rows)
+        scratch = metric.pairwise_into(
+            features_in[start:stop], features_tg, out[start:stop], scratch
+        )
 
 
 def total_error(matrix: ErrorMatrix, permutation: PermutationArray) -> int:

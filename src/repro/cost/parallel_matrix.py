@@ -3,10 +3,12 @@
 The paper accelerates Step 2 on a GPU; on a multicore host the same
 row-block decomposition parallelises across processes: each worker
 computes a contiguous slab of error-matrix rows from the shared feature
-arrays.  Workers receive the feature matrices once (fork/pickle) and
-return ``(start, block)`` pairs that the parent scatters into the result —
-the same owner-computes pattern as an ``mpi4py`` row-partitioned
-matrix-matrix kernel.
+arrays, through the same chunked kernel as the serial path
+(:func:`repro.cost.matrix.fill_error_rows`), so a slab never materialises
+more than one chunk's broadcast block.  Workers receive the feature
+matrices once (fork/pickle) and return ``(start, block)`` pairs that the
+parent scatters into the result — the same owner-computes pattern as an
+``mpi4py`` row-partitioned matrix-matrix kernel.
 
 For small S the process spin-up dominates (exactly like the paper's GPU
 losing at S=16^2), so :func:`error_matrix_parallel` falls back to the
@@ -27,6 +29,7 @@ from repro.accel.shm import (
     shared_memory_available,
 )
 from repro.cost.base import CostMetric, get_metric
+from repro.cost.matrix import error_matrix, fill_error_rows
 from repro.exceptions import ValidationError
 from repro.types import ERROR_DTYPE, ErrorMatrix, TileStack
 
@@ -59,7 +62,9 @@ def _compute_slab(bounds: tuple[int, int]) -> tuple[int, np.ndarray]:
     metric: CostMetric = _WORKER_STATE["metric"]  # type: ignore[assignment]
     features_in: np.ndarray = _WORKER_STATE["features_in"]  # type: ignore[assignment]
     features_tg: np.ndarray = _WORKER_STATE["features_tg"]  # type: ignore[assignment]
-    return start, metric.pairwise(features_in[start:stop], features_tg)
+    block = np.empty((stop - start, features_tg.shape[0]), dtype=ERROR_DTYPE)
+    fill_error_rows(metric, features_in[start:stop], features_tg, block)
+    return start, block
 
 
 def error_matrix_parallel(
@@ -104,8 +109,6 @@ def error_matrix_parallel(
         raise ValidationError(f"workers must be >= 1, got {workers}")
     work = s * s * f
     if (work < _MIN_PARALLEL_WORK and not force) or workers == 1 or s == 1:
-        from repro.cost.matrix import error_matrix
-
         return error_matrix(input_tiles, target_tiles, metric_obj)
     workers = min(workers, s)
     bounds = []

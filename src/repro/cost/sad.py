@@ -21,6 +21,11 @@ class SADMetric(CostMetric):
 
     name = "sad"
 
+    #: 1 Mi int16 elements (~2 MiB) keeps the scratch block of
+    #: :meth:`pairwise_into` cache-resident: ~2x faster than one wide
+    #: chunk at S=1024 and S=4096 (docs/performance.md).
+    chunk_budget = 1024 * 1024
+
     def prepare(self, tiles: TileStack) -> np.ndarray:
         tiles = np.asarray(tiles)
         # int16 is the narrowest dtype whose subtraction cannot overflow for
@@ -47,12 +52,11 @@ class SADMetric(CostMetric):
 
         ``|a - b|`` summed along the feature axis, with the ``(rows, B,
         F)`` int16 intermediate written into ``scratch`` in place.  The
-        batched builder keeps that intermediate small enough to stay
-        cache-resident and hands the same buffer to every chunk, which
-        is where the batched dense launch gets its throughput (the
-        per-call allocation of a fresh broadcast block is what makes the
-        one-launch-per-job path memory-bound).  Allocation goes through
-        the ufunc itself so CuPy inputs produce CuPy scratch.
+        dense kernel keeps that intermediate small enough to stay
+        cache-resident (:attr:`chunk_budget`) and hands the same buffer
+        to every chunk; allocating a fresh broadcast block per call is
+        what makes a wide-chunk sweep memory-bound.  Allocation goes
+        through the ufunc itself so CuPy inputs produce CuPy scratch.
         """
         rows = input_features.shape[0]
         if (

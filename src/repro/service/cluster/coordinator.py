@@ -6,12 +6,11 @@ the exact single-box protocol — ``POST /v1/jobs``, ``GET
 :class:`~repro.service.client.MosaicServiceClient` works against a
 cluster unchanged.  Behind that surface the coordinator:
 
-* **shards jobs** with rendezvous hashing on the job's Step-2 batch
-  fingerprint (same-fingerprint jobs land on one node, where the node's
-  :class:`~repro.service.batching.Step2BatchCoordinator` can coalesce
-  their Step-2 launches into one batched kernel), falling back to a
-  content hash of the spec; the ranked rendezvous order doubles as the
-  failover sequence when a node refuses (429) or is unreachable;
+* **shards jobs** with rendezvous hashing on a content hash of the job
+  payload (distinct jobs spread across the cluster, resubmissions of
+  one spec land where its cache entries already are); the ranked
+  rendezvous order doubles as the failover sequence when a node
+  refuses (429) or is unreachable;
 * **replicates event logs**: every dispatched job gets a coordinator-side
   :class:`~repro.service.http.broker.EventLog` fed by a pump task that
   streams the node's NDJSON events and renumbers them into one
@@ -39,7 +38,6 @@ from __future__ import annotations
 import asyncio
 import time
 
-from repro.service.batching import step2_fingerprint
 from repro.service.cache import config_fingerprint
 from repro.service.cluster.membership import ClusterMembership, NodeInfo
 from repro.service.cluster.rpc import RpcError, request_json, stream_ndjson
@@ -247,21 +245,6 @@ class ClusterCoordinator:
 
     # -- dispatch ---------------------------------------------------------
 
-    @staticmethod
-    def shard_key_for(spec, payload: dict) -> str:
-        """Content hash, scoped by the Step-2 batch fingerprint.
-
-        The content hash spreads distinct jobs across the cluster (a
-        homogeneous workload must not pile onto one node), while
-        resubmissions of the *same* spec land on the same node — their
-        cache entries and event history are already there.  The batch
-        fingerprint rides along as a prefix purely for observability:
-        two keys with the same prefix could have shared a batched
-        Step-2 launch had they landed together.
-        """
-        fingerprint = step2_fingerprint(spec) or "unbatched"
-        return f"{fingerprint}#{config_fingerprint(payload)}"
-
     async def _dispatch(self, payload: dict, shard_key: str, exclude: set[str]):
         """Walk the rendezvous ranking until a live node admits the job.
 
@@ -315,7 +298,7 @@ class ClusterCoordinator:
 
     async def submit(self, payload: dict) -> ClusterJob:
         """Validate, shard, dispatch and start replicating one job."""
-        spec = spec_from_payload(payload)
+        spec_from_payload(payload)  # typed 400 before any node sees it
         pending = sum(1 for job in self.jobs.values() if not job.terminal)
         if pending >= self.config.max_pending:
             self.metrics.counter("http_rejected_429_total").inc()
@@ -324,7 +307,7 @@ class ClusterCoordinator:
                 f"cluster admission full ({pending} pending)",
                 headers={"Retry-After": f"{self.config.retry_after:g}"},
             )
-        shard_key = self.shard_key_for(spec, payload)
+        shard_key = config_fingerprint(payload)
         node, node_job_id = await self._dispatch(payload, shard_key, set())
         job_id = node_job_id
         if job_id in self.jobs:

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.cost.base import get_metric
 from repro.cost.matrix import error_matrix, total_error, total_error_of_permutation
 from repro.cost.reference import error_matrix_reference
 from repro.exceptions import ValidationError
@@ -62,6 +65,75 @@ class TestErrorMatrix:
         m = error_matrix(tiles_in, tiles_tg, metric)
         assert (m >= 0).all()
         assert m.shape == (64, 64)
+
+
+#: Every registered metric with the tile kinds it accepts.
+METRIC_TILES = [
+    ("sad", "grey"),
+    ("sad", "colour"),
+    ("ssd", "grey"),
+    ("ssd", "colour"),
+    ("luminance", "grey"),
+    ("luminance", "colour"),
+    ("color", "colour"),
+    ("gradient", "grey"),
+]
+
+
+def _stacks(kind: str, s: int = 37, m: int = 4):
+    """Seeded input/target stacks; S = 37 is prime, so no chunk of more
+    than one row divides it."""
+    rng = np.random.default_rng(12)
+    shape = (s, m, m) if kind == "grey" else (s, m, m, 3)
+    return (
+        rng.integers(0, 256, size=shape, dtype=np.uint8),
+        rng.integers(0, 256, size=shape, dtype=np.uint8),
+    )
+
+
+class TestChunkInvariance:
+    @pytest.mark.parametrize("metric,kind", METRIC_TILES)
+    def test_default_chunks_equal_one_wide_chunk(self, metric, kind):
+        """The default (metric-sized) chunking gives what one whole-stack
+        ``pairwise`` call gives."""
+        tiles_in, tiles_tg = _stacks(kind)
+        cost = get_metric(metric)
+        wide = cost.pairwise(cost.prepare(tiles_in), cost.prepare(tiles_tg))
+        np.testing.assert_array_equal(error_matrix(tiles_in, tiles_tg, metric), wide)
+
+    @pytest.mark.parametrize("metric,kind", METRIC_TILES)
+    @pytest.mark.parametrize("rows", [1, 2, 5, 36])
+    def test_ragged_last_chunk(self, metric, kind, rows):
+        """``rows`` rows per chunk: the last chunk is shorter than the
+        scratch the earlier chunks reused."""
+        tiles_in, tiles_tg = _stacks(kind)
+        budget = rows * get_metric(metric).prepare(tiles_tg).size
+        full = error_matrix(tiles_in, tiles_tg, metric, chunk_budget=10**9)
+        chunked = error_matrix(tiles_in, tiles_tg, metric, chunk_budget=budget)
+        np.testing.assert_array_equal(chunked, full)
+
+    @pytest.mark.parametrize("kind", ["grey", "colour"])
+    def test_sad_matches_scalar_reference(self, kind):
+        tiles_in, tiles_tg = _stacks(kind)
+        np.testing.assert_array_equal(
+            error_matrix(tiles_in, tiles_tg),
+            error_matrix_reference(tiles_in, tiles_tg),
+        )
+
+
+def test_dense_sad_peak_memory_is_output_plus_scratch():
+    """At S=1024 the chunked kernel never holds a wide broadcast block:
+    peak traced memory stays below the output plus 16 MiB."""
+    rng = np.random.default_rng(3)
+    tiles_in = rng.integers(0, 256, size=(1024, 8, 8), dtype=np.uint8)
+    tiles_tg = rng.integers(0, 256, size=(1024, 8, 8), dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        matrix = error_matrix(tiles_in, tiles_tg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < matrix.nbytes + 16 * 2**20
 
 
 class TestTotalError:
