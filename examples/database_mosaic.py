@@ -7,11 +7,12 @@ standard stand-in image, then renders a target both ways — with tile reuse
 (the classic look) and without (each database tile used at most once,
 which is an assignment problem).
 
-Run:  python examples/database_mosaic.py
+Run:  python examples/database_mosaic.py [--size 512]
 """
 
 from __future__ import annotations
 
+import argparse
 import os
 
 import numpy as np
@@ -23,8 +24,10 @@ OUT_DIR = os.path.join(os.path.dirname(__file__), "output", "database")
 
 
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--size", type=int, default=512, help="image side N")
+    size = parser.parse_args().size
     os.makedirs(OUT_DIR, exist_ok=True)
-    size = 512
     tile_size = 16
     target = standard_image("portrait", size)
 

@@ -1,11 +1,14 @@
 #!/usr/bin/env python
 """End-to-end smoke for the HTTP front, driven like CI drives it.
 
-Starts ``photomosaic serve-http`` as a real subprocess on a free port,
-submits three jobs through the stdlib client, checks every event stream
-is ordered with exactly one terminal DONE, exercises ``?from_seq``
-resume, validates the Prometheus ``/metrics`` exposition, then sends
-SIGTERM and requires a graceful drain (exit 0, final ``drained`` line).
+Starts ``photomosaic serve-http`` as a real subprocess on a free port
+(with ``--event-log`` and ``--metrics``), submits three jobs through the
+stdlib client, checks every event stream is ordered with exactly one
+terminal DONE, exercises ``?from_seq`` resume, validates the Prometheus
+``/metrics`` exposition, then sends SIGTERM and requires a graceful
+drain (exit 0, final ``drained`` line), an event log holding exactly the
+streamed events, and a metrics report counting three admitted, three
+done jobs.
 
 Usage: PYTHONPATH=src python scripts/http_smoke.py
 """
@@ -27,6 +30,8 @@ JOBS = [
     {"input": "peppers", "target": "sailboat", "size": 64, "tile_size": 8, "name": "b"},
     {"input": "barbara", "target": "sailboat", "size": 64, "tile_size": 8, "name": "c"},
 ]
+
+EVENT_LOG = "events.ndjson"
 
 
 def check_stream(events: list[dict]) -> None:
@@ -66,14 +71,30 @@ def check_metrics(text: str) -> None:
     assert samples["jobs_done"] == len(JOBS)
 
 
+def check_report(outdir: str, streamed: int) -> None:
+    with open(os.path.join(outdir, EVENT_LOG), encoding="utf-8") as fh:
+        logged = [json.loads(line) for line in fh]
+    assert len(logged) == streamed, (len(logged), streamed)
+    with open(os.path.join(outdir, "metrics.json"), encoding="utf-8") as fh:
+        counters = json.load(fh)["counters"]
+    assert counters["gateway_admitted"] == len(JOBS), counters
+    assert counters["jobs_done"] == len(JOBS), counters
+
+
 def main() -> int:
+    outdir = "http_smoke_out"
+    event_log = os.path.join(outdir, EVENT_LOG)
+    if os.path.exists(event_log):
+        os.remove(event_log)  # the gateway appends; start from an empty log
     env = dict(os.environ)
     env.setdefault("PYTHONPATH", "src")
     env["PYTHONUNBUFFERED"] = "1"
     process = subprocess.Popen(
         [
             sys.executable, "-m", "repro.cli", "serve-http",
-            "--port", "0", "--workers", "2", "--outdir", "http_smoke_out",
+            "--port", "0", "--workers", "2", "--outdir", outdir,
+            "--event-log", event_log,
+            "--metrics", os.path.join(outdir, "metrics.json"),
         ],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
@@ -110,6 +131,7 @@ def main() -> int:
         final = json.loads(out.splitlines()[-1])
         assert final["kind"] == "drained", final
         assert final["jobs"] == len(JOBS), final
+        check_report(outdir, sum(len(events) for events in streams.values()))
         print(
             "http smoke ok:",
             {jid: len(events) for jid, events in streams.items()},

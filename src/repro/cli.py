@@ -9,22 +9,32 @@ Subcommands
     Regenerate one or all of the paper's tables at the chosen profile.
 ``demo``
     Write a gallery of example outputs (the Figs. 2/7/8 analogues).
+``export``
+    Run every experiment and write the EXPERIMENTS.md report.
+``video``
+    Run the real-time video-mosaic scenario frame by frame.
+``library build``
+    Ingest a directory of images into a ``.npz`` tile-library index.
+``mosaic``
+    Compose a target from a tile library (many-to-one; see
+    docs/library.md).
 ``batch``
     Run a JSON manifest of jobs through the service worker pool with the
     shared artifact cache, then write results and a metrics report
     (see docs/service.md).
-``serve``
-    Streaming mode: read JSON job lines from stdin (or a manifest),
-    stream NDJSON progress events — state transitions, retries,
-    per-phase timings, 2-opt sweeps — to stdout as they happen, with
-    bounded admission and mid-job cancellation
-    (see docs/service.md, "Streaming gateway").
 ``serve-http``
-    Network mode: the same streaming gateway behind a dependency-free
+    Network mode: the streaming job gateway behind a dependency-free
     HTTP/1.1 + WebSocket server — submit jobs with ``POST /v1/jobs``,
     follow them via NDJSON or WebSocket event streams with
-    ``?from_seq`` resume, scrape ``/metrics`` in Prometheus text format
-    (see docs/service.md, "HTTP API").
+    ``?from_seq`` resume, cancel with ``DELETE``, scrape ``/metrics`` in
+    Prometheus text format (see docs/service.md, "HTTP API").
+``serve-cluster`` / ``serve-node``
+    Multi-node mode: a coordinator that shards jobs across worker nodes,
+    each node a ``serve-http`` stack that joins it (see docs/service.md,
+    "Multi-node deployment").
+
+``batch``, ``serve-http`` and ``serve-node`` build the same cache →
+runner → worker pool stack from the same flags.
 
 Examples::
 
@@ -33,9 +43,9 @@ Examples::
     photomosaic bench --table 2
     photomosaic demo --outdir gallery/
     photomosaic batch --manifest jobs.json --outdir results/ --workers 4
-    printf '%s\\n' '{"input": "portrait", "target": "sailboat"}' \
-        | photomosaic serve --workers 2 --max-pending 8
     photomosaic serve-http --port 8765 --workers 2 --max-pending 8
+    photomosaic serve-cluster --port 8700
+    photomosaic serve-node --coordinator 127.0.0.1:8700 --cache-dir cache/
 """
 
 from __future__ import annotations
@@ -187,57 +197,95 @@ def _cmd_video(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_cache(args: argparse.Namespace, metrics):
-    """Artifact cache per the CLI cache flags (shared by batch and serve)."""
-    from repro.service import ArtifactCache, CacheStack, DiskCacheStore
-
-    memory_cache = ArtifactCache(
-        max_bytes=args.cache_mb * 2**20,
-        spill_dir=getattr(args, "spill_dir", None),
-    )
-    if args.cache_dir:
-        # Two-tier stack: this process's LRU in front, one shared
-        # disk store behind — process workers pickle the stack and
-        # share artifacts through the store (see docs/service.md).
-        return CacheStack(
-            memory=memory_cache,
-            disk=DiskCacheStore(
-                args.cache_dir,
-                max_bytes=args.cache_budget * 2**20,
-                metrics=metrics,
-            ),
-        )
-    return memory_cache
+def _auth_token(args: argparse.Namespace) -> str | None:
+    """``--auth-token``, else the ``PHOTOMOSAIC_TOKEN`` environment variable."""
+    return args.auth_token or os.environ.get("PHOTOMOSAIC_TOKEN") or None
 
 
-def _cmd_batch(args: argparse.Namespace) -> int:
-    # Deferred import keeps CLI startup fast for the other subcommands.
+def _write_json(path: str, report: dict) -> None:
     import json
 
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=2)
+        fh.write("\n")
+
+
+def _build_pool(args, metrics, *, wrap_disk=None, job_floor_seconds=0.0):
+    """Cache → runner → :class:`WorkerPool` from the shared pool/cache flags.
+
+    The one job-running stack behind ``batch``, ``serve-http`` and
+    ``serve-node``.  With ``--cache-dir`` the cache is a
+    :class:`CacheStack` (this process's LRU in front, one shared disk
+    store behind — process workers pickle the stack and share artifacts
+    through the store; see docs/service.md); ``wrap_disk`` wraps that
+    disk store (a node puts it behind the cluster's cross-node tier).
+    A positive ``job_floor_seconds`` paces every job to that minimum.
+    """
     from repro.service import (
-        JobState,
-        MetricsRegistry,
+        ArtifactCache,
+        CacheStack,
+        DiskCacheStore,
         MosaicJobRunner,
         WorkerPool,
-        load_manifest,
     )
 
-    specs = load_manifest(args.manifest, seed=args.seed)
     os.makedirs(args.outdir, exist_ok=True)
-    metrics = MetricsRegistry()
-    cache = _build_cache(args, metrics)
-    pool = WorkerPool(
+    cache = ArtifactCache(max_bytes=args.cache_mb * 2**20)
+    if args.cache_dir:
+        disk = DiskCacheStore(
+            args.cache_dir, max_bytes=args.cache_budget * 2**20, metrics=metrics
+        )
+        cache = CacheStack(memory=cache, disk=wrap_disk(disk) if wrap_disk else disk)
+    runner = MosaicJobRunner(
+        cache=cache, outdir=args.outdir, default_backend=args.backend
+    )
+    if job_floor_seconds > 0:
+        from repro.service.cluster import PacedRunner
+
+        runner = PacedRunner(runner, job_floor_seconds)
+    return WorkerPool(
         workers=args.workers,
         kind=args.executor,
-        runner=MosaicJobRunner(
-            cache=cache, outdir=args.outdir, default_backend=args.backend
-        ),
+        runner=runner,
         cache=cache,
         metrics=metrics,
         max_retries=args.retries,
         default_timeout=args.timeout,
         seed=args.seed,
     )
+
+
+def _build_gateway(args, metrics, *, event_log=None, **pool_options):
+    """:func:`_build_pool` behind a :class:`MosaicGateway` (``--max-pending``)."""
+    from repro.service import MosaicGateway
+
+    pool = _build_pool(args, metrics, **pool_options)
+    return MosaicGateway(
+        pool, max_pending=args.max_pending, metrics=metrics, event_log=event_log
+    )
+
+
+def _http_front_config(args: argparse.Namespace):
+    """The :class:`HttpFrontConfig` of ``serve-http`` and ``serve-node``."""
+    from repro.service.http import HttpFrontConfig
+
+    return HttpFrontConfig(
+        host=args.host,
+        port=args.port,
+        auth_token=_auth_token(args),
+        max_body_bytes=args.max_body_kb * 1024,
+        max_concurrent_streams=args.max_streams,
+        retry_after=args.retry_after,
+    )
+
+
+def _cmd_batch(args: argparse.Namespace) -> int:
+    # Deferred import keeps CLI startup fast for the other subcommands.
+    from repro.service import JobState, MetricsRegistry, load_manifest
+
+    specs = load_manifest(args.manifest, seed=args.seed)
+    metrics = MetricsRegistry()
+    pool = _build_pool(args, metrics)
     records = pool.run(specs)
     pool.shutdown()
 
@@ -255,7 +303,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             line += f"  ({record.error})"
         print(line)
 
-    cache_stats = cache.stats
+    cache_stats = pool.cache.stats
     if args.cache_dir:
         # Fold the (parent-process) memory-tier tallies into counters so
         # the JSON report carries them; the disk tier already ticks its
@@ -280,9 +328,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         }
     )
     metrics_path = args.metrics or os.path.join(args.outdir, "metrics.json")
-    with open(metrics_path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    _write_json(metrics_path, report)
     print()
     print(metrics.summary_table())
     print(f"cache hit rate  : {cache_stats.hit_rate:.3f}")
@@ -336,190 +382,41 @@ def _install_drain_handlers(loop, on_first, on_second) -> None:
             return
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    # Deferred imports: asyncio + service only when actually serving.
+async def _until_drain_signal(front, gateway) -> None:
+    """Serve until the first drain signal; a second cancels in-flight jobs."""
     import asyncio
-    import json
-    import threading
 
-    from repro.exceptions import JobError
-    from repro.service import (
-        AdmissionRejected,
-        JobSpec,
-        JobState,
-        MetricsRegistry,
-        MosaicGateway,
-        MosaicJobRunner,
-        WorkerPool,
-        load_manifest,
+    from repro.service import JobState
+
+    loop = asyncio.get_running_loop()
+    stopping = asyncio.Event()
+
+    async def cancel_in_flight() -> None:
+        for job in front.broker.jobs():
+            if job["state"] in (JobState.PENDING.value, JobState.RUNNING.value):
+                await gateway.cancel(job["job_id"])
+
+    cancels: set[asyncio.Task] = set()  # the loop holds tasks only weakly
+
+    def on_second_signal() -> None:
+        task = loop.create_task(cancel_in_flight())
+        cancels.add(task)
+        task.add_done_callback(cancels.discard)
+
+    _install_drain_handlers(
+        loop, lambda: (front.begin_drain(), stopping.set()), on_second_signal
     )
+    await stopping.wait()
 
-    def emit_line(payload: dict) -> None:
-        sys.stdout.write(json.dumps(payload, default=str) + "\n")
-        sys.stdout.flush()
 
-    async def pump(stream) -> None:
-        async for event in stream:
-            emit_line(event.to_dict())
-
-    async def serve() -> int:
-        os.makedirs(args.outdir, exist_ok=True)
-        metrics = MetricsRegistry()
-        cache = _build_cache(args, metrics)
-        pool = WorkerPool(
-            workers=args.workers,
-            kind=args.executor,
-            runner=MosaicJobRunner(
-                cache=cache, outdir=args.outdir, default_backend=args.backend
-            ),
-            cache=cache,
-            metrics=metrics,
-            max_retries=args.retries,
-            default_timeout=args.timeout,
-            seed=args.seed,
-        )
-        gateway = MosaicGateway(
-            pool,
-            max_pending=args.max_pending,
-            metrics=metrics,
-            event_log=args.event_log,
-        )
-        pumps: list[asyncio.Task] = []
-        streams = []
-        by_name: dict[str, str] = {}  # job name -> job_id, for cancel lines
-        loop = asyncio.get_running_loop()
-        stop_intake = asyncio.Event()
-
-        async def cancel_in_flight() -> None:
-            for stream in list(streams):
-                await gateway.cancel(stream.job_id)
-
-        def on_first_signal() -> None:
-            emit_line(
-                {
-                    "job_id": None,
-                    "seq": None,
-                    "kind": "draining",
-                    "terminal": False,
-                    "payload": {"pending": gateway.pending},
-                }
-            )
-            stop_intake.set()
-
-        def on_second_signal() -> None:
-            loop.create_task(cancel_in_flight())
-
-        _install_drain_handlers(loop, on_first_signal, on_second_signal)
-
-        async def admit(spec: JobSpec, wait: bool) -> None:
-            try:
-                if wait:
-                    stream = await gateway.submit_when_admitted(spec)
-                else:
-                    stream = await gateway.submit(spec)
-            except AdmissionRejected as exc:
-                # Typed backpressure, surfaced as its own NDJSON line so a
-                # client can tell "shed" from "accepted" per job.
-                emit_line(
-                    {
-                        "job_id": None,
-                        "seq": None,
-                        "kind": "rejected",
-                        "terminal": True,
-                        "payload": {"name": spec.name, "error": str(exc)},
-                    }
-                )
-                return
-            if spec.name:
-                by_name[spec.name] = stream.job_id
-            streams.append(stream)
-            pumps.append(asyncio.create_task(pump(stream)))
-
-        def read_stdin_into(queue: asyncio.Queue) -> None:
-            # Daemon thread: a blocked readline must never hold up a
-            # drain-triggered exit (executor threads are joined at
-            # interpreter shutdown, a daemon thread is not).
-            for raw_line in sys.stdin:
-                loop.call_soon_threadsafe(queue.put_nowait, raw_line)
-            loop.call_soon_threadsafe(queue.put_nowait, None)
-
-        try:
-            if args.manifest:
-                # Manifest intake blocks on admission instead of shedding:
-                # the bound then acts as a streaming window over the file.
-                for spec in load_manifest(args.manifest, seed=args.seed):
-                    if stop_intake.is_set():
-                        break
-                    await admit(spec, wait=True)
-            else:
-                lines: asyncio.Queue = asyncio.Queue()
-                threading.Thread(
-                    target=read_stdin_into, args=(lines,), daemon=True
-                ).start()
-                while not stop_intake.is_set():
-                    get_line = asyncio.ensure_future(lines.get())
-                    stopped = asyncio.ensure_future(stop_intake.wait())
-                    done, pending = await asyncio.wait(
-                        {get_line, stopped}, return_when=asyncio.FIRST_COMPLETED
-                    )
-                    for task in pending:
-                        task.cancel()
-                    if get_line not in done:
-                        break  # drain signal won the race
-                    line = get_line.result()
-                    if line is None:  # EOF
-                        break
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        entry = json.loads(line)
-                        if not isinstance(entry, dict):
-                            raise JobError("job line must be a JSON object")
-                        if "cancel" in entry:
-                            target = str(entry["cancel"])
-                            ok = await gateway.cancel(by_name.get(target, target))
-                            emit_line(
-                                {
-                                    "job_id": by_name.get(target, target),
-                                    "seq": None,
-                                    "kind": "cancel_request",
-                                    "terminal": False,
-                                    "payload": {"accepted": ok},
-                                }
-                            )
-                            continue
-                        spec = JobSpec(**entry)
-                    except (TypeError, ValueError, JobError) as exc:
-                        emit_line(
-                            {
-                                "job_id": None,
-                                "seq": None,
-                                "kind": "invalid",
-                                "terminal": True,
-                                "payload": {"line": line, "error": str(exc)},
-                            }
-                        )
-                        continue
-                    await admit(spec, wait=False)
-            # Graceful end (EOF or drain signal): every admitted stream
-            # still runs to its terminal event before the loop exits.
-            await gateway.aclose(drain=True)
-        finally:
-            pool.shutdown()
-            for task in pumps:
-                await task
-        if args.metrics:
-            report = metrics.as_dict(
-                extra={"jobs": [s.record.summary() for s in streams]}
-            )
-            with open(args.metrics, "w", encoding="utf-8") as fh:
-                json.dump(report, fh, indent=2)
-                fh.write("\n")
-        failed = sum(1 for s in streams if s.record.state is JobState.FAILED)
-        return 1 if failed else 0
-
-    return asyncio.run(serve())
+async def _drain(front, gateway) -> None:
+    # Drain order matters: finish (or cancel) the jobs first so event
+    # streams reach their terminal events, then let the open HTTP
+    # connections flush and close, then stop the workers.
+    await gateway.aclose(drain=True)
+    await front.broker.drain()
+    await front.aclose()
+    gateway.pool.shutdown()
 
 
 def _cmd_serve_http(args: argparse.Namespace) -> int:
@@ -527,51 +424,14 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
     import asyncio
     import json
 
-    from repro.service import (
-        JobState,
-        MetricsRegistry,
-        MosaicGateway,
-        MosaicJobRunner,
-        WorkerPool,
-    )
-    from repro.service.http import HttpFront, HttpFrontConfig
-
-    token = args.auth_token or os.environ.get("PHOTOMOSAIC_TOKEN") or None
+    from repro.service import MetricsRegistry
+    from repro.service.http import HttpFront
 
     async def serve() -> int:
-        os.makedirs(args.outdir, exist_ok=True)
         metrics = MetricsRegistry()
-        cache = _build_cache(args, metrics)
-        pool = WorkerPool(
-            workers=args.workers,
-            kind=args.executor,
-            runner=MosaicJobRunner(
-                cache=cache, outdir=args.outdir, default_backend=args.backend
-            ),
-            cache=cache,
-            metrics=metrics,
-            max_retries=args.retries,
-            default_timeout=args.timeout,
-            seed=args.seed,
-        )
-        gateway = MosaicGateway(
-            pool,
-            max_pending=args.max_pending,
-            metrics=metrics,
-            event_log=args.event_log,
-        )
-        front = HttpFront(
-            gateway,
-            config=HttpFrontConfig(
-                host=args.host,
-                port=args.port,
-                auth_token=token,
-                max_body_bytes=args.max_body_kb * 1024,
-                max_concurrent_streams=args.max_streams,
-                retry_after=args.retry_after,
-            ),
-            metrics=metrics,
-        )
+        gateway = _build_gateway(args, metrics, event_log=args.event_log)
+        config = _http_front_config(args)
+        front = HttpFront(gateway, config=config, metrics=metrics)
         await front.start()
         # First stdout line: where we actually bound (--port 0 picks a
         # free port); scripts parse this to find the server.
@@ -581,43 +441,19 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
                     "kind": "listening",
                     "host": args.host,
                     "port": front.port,
-                    "auth": bool(token),
+                    "auth": bool(config.auth_token),
                     "workers": args.workers,
                     "max_pending": args.max_pending,
                 }
             ),
             flush=True,
         )
-
-        loop = asyncio.get_running_loop()
-        stopping = asyncio.Event()
-
-        async def cancel_in_flight() -> None:
-            for job in front.broker.jobs():
-                if job["state"] in (JobState.PENDING.value, JobState.RUNNING.value):
-                    await gateway.cancel(job["job_id"])
-
-        def on_first_signal() -> None:
-            front.begin_drain()
-            stopping.set()
-
-        def on_second_signal() -> None:
-            loop.create_task(cancel_in_flight())
-
-        _install_drain_handlers(loop, on_first_signal, on_second_signal)
-        await stopping.wait()
-        # Drain order matters: finish (or cancel) the jobs first so event
-        # streams reach their terminal events, then let the open HTTP
-        # connections flush and close, then stop the workers.
-        await gateway.aclose(drain=True)
-        await front.broker.drain()
-        await front.aclose()
-        pool.shutdown()
+        await _until_drain_signal(front, gateway)
+        await _drain(front, gateway)
         if args.metrics:
-            report = metrics.as_dict(extra={"jobs": front.broker.jobs()})
-            with open(args.metrics, "w", encoding="utf-8") as fh:
-                json.dump(report, fh, indent=2)
-                fh.write("\n")
+            _write_json(
+                args.metrics, metrics.as_dict(extra={"jobs": front.broker.jobs()})
+            )
         print(json.dumps({"kind": "drained", "jobs": len(front.broker.jobs())}),
               flush=True)
         return 0
@@ -630,27 +466,15 @@ def _cmd_serve_node(args: argparse.Namespace) -> int:
     import asyncio
     import json
 
-    from repro.service import (
-        ArtifactCache,
-        CacheStack,
-        DiskCacheStore,
-        JobState,
-        MetricsRegistry,
-        MosaicGateway,
-        MosaicJobRunner,
-        WorkerPool,
-    )
+    from repro.service import MetricsRegistry
     from repro.service.cluster import (
         CacheLeaseTable,
         ClusterCacheStore,
         ClusterNodeApp,
         NodeFront,
-        PacedRunner,
         PeerDirectory,
     )
-    from repro.service.http import HttpFrontConfig
 
-    token = args.auth_token or os.environ.get("PHOTOMOSAIC_TOKEN") or None
     node_id = args.node_id or f"node-{os.getpid()}"
     coordinator_host, _, coordinator_port = args.coordinator.rpartition(":")
     if not coordinator_host or not coordinator_port.isdigit():
@@ -661,56 +485,26 @@ def _cmd_serve_node(args: argparse.Namespace) -> int:
         return 2
 
     async def serve() -> int:
-        os.makedirs(args.outdir, exist_ok=True)
         metrics = MetricsRegistry()
+        config = _http_front_config(args)
         directory = PeerDirectory(node_id)
-        memory = ArtifactCache(max_bytes=args.cache_mb * 2**20)
-        cluster_cache = None
-        if args.cache_dir:
-            cluster_cache = ClusterCacheStore(
-                DiskCacheStore(
-                    args.cache_dir,
-                    max_bytes=args.cache_budget * 2**20,
-                    metrics=metrics,
-                ),
-                directory,
-                token=token,
-                metrics=metrics,
-            )
-            cache = CacheStack(memory=memory, disk=cluster_cache)
-        else:
-            cache = memory  # no shared tier: purely node-local caching
-        runner = MosaicJobRunner(
-            cache=cache, outdir=args.outdir, default_backend=args.backend
+        gateway = _build_gateway(
+            args,
+            metrics,
+            # Without --cache-dir there is no shared tier: the node
+            # caches purely locally.
+            wrap_disk=lambda disk: ClusterCacheStore(
+                disk, directory, token=config.auth_token, metrics=metrics
+            ),
+            job_floor_seconds=args.job_floor_seconds,
         )
-        if args.job_floor_seconds > 0:
-            # Capacity-bench pacing; the floor is disclosed in BENCH JSON.
-            runner = PacedRunner(runner, args.job_floor_seconds)
-        pool = WorkerPool(
-            workers=args.workers,
-            kind=args.executor,
-            runner=runner,
-            cache=cache,
-            metrics=metrics,
-            max_retries=args.retries,
-            default_timeout=args.timeout,
-            seed=args.seed,
-        )
-        gateway = MosaicGateway(pool, max_pending=args.max_pending, metrics=metrics)
         front = NodeFront(
             gateway,
             node_id=node_id,
             directory=directory,
-            cluster_cache=cluster_cache,
+            cluster_cache=getattr(gateway.pool.cache, "disk", None),
             leases=CacheLeaseTable(ttl=args.lease_ttl),
-            config=HttpFrontConfig(
-                host=args.host,
-                port=args.port,
-                auth_token=token,
-                max_body_bytes=args.max_body_kb * 1024,
-                max_concurrent_streams=args.max_streams,
-                retry_after=args.retry_after,
-            ),
+            config=config,
             metrics=metrics,
         )
         await front.start()
@@ -719,7 +513,7 @@ def _cmd_serve_node(args: argparse.Namespace) -> int:
             coordinator_host=coordinator_host,
             coordinator_port=int(coordinator_port),
             advertise_host=args.advertise_host,
-            token=token,
+            token=config.auth_token,
             heartbeat_interval=args.heartbeat_interval,
         )
         print(
@@ -731,33 +525,16 @@ def _cmd_serve_node(args: argparse.Namespace) -> int:
                     "host": args.host,
                     "port": front.port,
                     "coordinator": args.coordinator,
-                    "auth": bool(token),
+                    "auth": bool(config.auth_token),
                     "workers": args.workers,
                 }
             ),
             flush=True,
         )
         await app.start()
-
-        loop = asyncio.get_running_loop()
-        stopping = asyncio.Event()
-
-        async def cancel_in_flight() -> None:
-            for job in front.broker.jobs():
-                if job["state"] in (JobState.PENDING.value, JobState.RUNNING.value):
-                    await gateway.cancel(job["job_id"])
-
-        _install_drain_handlers(
-            loop,
-            lambda: (front.begin_drain(), stopping.set()),
-            lambda: loop.create_task(cancel_in_flight()),
-        )
-        await stopping.wait()
+        await _until_drain_signal(front, gateway)
         await app.stop()  # deregister first: no re-dispatch churn on drain
-        await gateway.aclose(drain=True)
-        await front.broker.drain()
-        await front.aclose()
-        pool.shutdown()
+        await _drain(front, gateway)
         print(json.dumps({"kind": "drained", "node_id": node_id}), flush=True)
         return 0
 
@@ -772,7 +549,7 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
     from repro.service import MetricsRegistry
     from repro.service.cluster import ClusterCoordinator, CoordinatorConfig
 
-    token = args.auth_token or os.environ.get("PHOTOMOSAIC_TOKEN") or None
+    token = _auth_token(args)
 
     async def serve() -> int:
         metrics = MetricsRegistry()
@@ -811,9 +588,7 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
         await stopping.wait()
         await coordinator.aclose()
         if args.metrics:
-            with open(args.metrics, "w", encoding="utf-8") as fh:
-                json.dump(metrics.as_dict(), fh, indent=2)
-                fh.write("\n")
+            _write_json(args.metrics, metrics.as_dict())
         print(json.dumps({"kind": "drained", "role": "coordinator"}), flush=True)
         return 0
 
@@ -901,6 +676,115 @@ def _cmd_mosaic(args: argparse.Namespace) -> int:
     print(f"tiles used      : {lib['unique_tiles']} unique of "
           f"{lib['library_size']} (max reuse {lib['max_reuse']})")
     return 0
+
+
+def _positive_int(text: str) -> int:
+    """argparse ``type`` for counts and budgets that must be >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+# Flag groups shared through ``parents=``.  Each call builds a fresh
+# parser: argparse shares action objects with its children, so a
+# per-subcommand ``set_defaults`` on a shared instance would leak into
+# every other subcommand.
+
+
+def _pool_flags() -> argparse.ArgumentParser:
+    """Worker-pool flags of the job-running commands."""
+    group = argparse.ArgumentParser(add_help=False)
+    group.add_argument("--outdir", default="serve_out", help="job outputs")
+    group.add_argument("--workers", type=_positive_int, default=2)
+    group.add_argument(
+        "--executor", choices=("thread", "process"), default="thread",
+        help="attempt executor (thread shares the in-memory cache and "
+        "streams per-sweep progress)",
+    )
+    group.add_argument(
+        "--retries", type=int, default=1,
+        help="default extra attempts per job (a job can override it)",
+    )
+    group.add_argument(
+        "--timeout", type=float, default=None,
+        help="default per-attempt budget in seconds",
+    )
+    group.add_argument(
+        "--seed", type=int, default=0,
+        help="seeds the pool's backoff jitter streams (and, for batch, "
+        "the per-job seeds) via repro.utils.rng, so a re-run replays exactly",
+    )
+    group.add_argument(
+        "--backend", choices=("numpy", "cupy", "auto"), default=None,
+        help="default array backend for every job that doesn't set its "
+        "own 'backend' field",
+    )
+    return group
+
+
+def _cache_flags() -> argparse.ArgumentParser:
+    """Artifact-cache flags of the job-running commands."""
+    group = argparse.ArgumentParser(add_help=False)
+    group.add_argument(
+        "--cache-mb", type=_positive_int, default=256,
+        help="in-memory cache budget (MiB)",
+    )
+    group.add_argument(
+        "--cache-dir", default=None,
+        help="shared disk cache root: artifacts persist across runs and are "
+        "shared by process workers; on serve-node it also backs the "
+        "cluster's shared cache tier (see docs/service.md)",
+    )
+    group.add_argument(
+        "--cache-budget", type=_positive_int, default=2048,
+        help="disk cache byte budget in MiB (LRU-evicted past this)",
+    )
+    return group
+
+
+def _front_flags() -> argparse.ArgumentParser:
+    """Bind, auth and admission flags of every network front."""
+    group = argparse.ArgumentParser(add_help=False)
+    group.add_argument("--host", default="127.0.0.1")
+    group.add_argument(
+        "--port", type=int,
+        help="TCP port; 0 picks a free port (printed on the first "
+        "stdout line as a JSON 'listening' record)",
+    )
+    group.add_argument(
+        "--auth-token", default=None,
+        help="static bearer token required on /v1/ routes (default: the "
+        "PHOTOMOSAIC_TOKEN environment variable; unset = no auth); every "
+        "process of a cluster must use the same token",
+    )
+    group.add_argument(
+        "--max-pending", type=_positive_int, default=16,
+        help="admission bound: jobs in flight before POST /v1/jobs "
+        "answers 429 with Retry-After",
+    )
+    group.add_argument(
+        "--retry-after", type=float, default=1.0,
+        help="Retry-After hint (seconds) on 429/503 responses",
+    )
+    return group
+
+
+def _stream_flags() -> argparse.ArgumentParser:
+    """Connection limits of the fronts that serve job event streams."""
+    group = argparse.ArgumentParser(add_help=False)
+    group.add_argument(
+        "--max-streams", type=_positive_int, default=64,
+        help="concurrent event streams before the route answers 503",
+    )
+    group.add_argument(
+        "--max-body-kb", type=_positive_int, default=1024,
+        help="request body limit in KiB (413 beyond it)",
+    )
+    return group
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1094,159 +978,22 @@ def build_parser() -> argparse.ArgumentParser:
     mosaic.set_defaults(func=_cmd_mosaic)
 
     batch = sub.add_parser(
-        "batch", help="run a manifest of mosaic jobs through the worker pool"
+        "batch",
+        parents=[_pool_flags(), _cache_flags()],
+        help="run a manifest of mosaic jobs through the worker pool",
     )
     batch.add_argument("--manifest", required=True, help="JSON job manifest")
-    batch.add_argument("--outdir", default="batch_out", help="job outputs + report")
-    batch.add_argument("--workers", type=int, default=4)
-    batch.add_argument(
-        "--executor", choices=("thread", "process"), default="thread",
-        help="attempt executor (thread shares the artifact cache)",
-    )
-    batch.add_argument(
-        "--retries", type=int, default=1,
-        help="default extra attempts per job (manifest can override per job)",
-    )
-    batch.add_argument(
-        "--timeout", type=float, default=None,
-        help="default per-attempt budget in seconds",
-    )
     batch.add_argument(
         "--metrics", default=None,
         help="metrics JSON path (default: <outdir>/metrics.json)",
     )
-    batch.add_argument(
-        "--cache-mb", type=int, default=256, help="in-memory cache budget (MiB)"
-    )
-    batch.add_argument(
-        "--spill-dir", default=None, help="spill evicted cache entries here"
-    )
-    batch.add_argument(
-        "--cache-dir", default=None,
-        help="shared disk cache root: artifacts persist across runs and are "
-        "shared by process workers (see docs/service.md)",
-    )
-    batch.add_argument(
-        "--cache-budget", type=int, default=2048,
-        help="disk cache byte budget in MiB (LRU-evicted past this)",
-    )
-    batch.add_argument(
-        "--seed", type=int, default=0,
-        help="batch seed: derives per-job seeds and the pool's backoff "
-        "jitter via repro.utils.rng, so a re-run replays exactly",
-    )
-    batch.add_argument(
-        "--backend", choices=("numpy", "cupy", "auto"), default=None,
-        help="default array backend for every job that doesn't set its "
-        "own 'backend' field",
-    )
-    batch.set_defaults(func=_cmd_batch)
-
-    serve = sub.add_parser(
-        "serve",
-        help="stream jobs from stdin (or a manifest) through the async "
-        "gateway, emitting NDJSON progress events",
-    )
-    serve.add_argument(
-        "--manifest", default=None,
-        help="JSON job manifest; omit to read JSON job lines from stdin",
-    )
-    serve.add_argument("--outdir", default="serve_out", help="job outputs")
-    serve.add_argument("--workers", type=int, default=2)
-    serve.add_argument(
-        "--executor", choices=("thread", "process"), default="thread",
-        help="attempt executor (thread streams per-sweep progress; process "
-        "workers emit state/retry events only)",
-    )
-    serve.add_argument(
-        "--max-pending", type=int, default=16,
-        help="admission bound: jobs in flight before submissions are "
-        "rejected (stdin) or intake blocks (manifest)",
-    )
-    serve.add_argument(
-        "--retries", type=int, default=1,
-        help="default extra attempts per job",
-    )
-    serve.add_argument(
-        "--timeout", type=float, default=None,
-        help="default per-attempt budget in seconds",
-    )
-    serve.add_argument(
-        "--metrics", default=None,
-        help="write a metrics JSON report here on exit",
-    )
-    serve.add_argument(
-        "--event-log", default=None,
-        help="append every streamed event to this NDJSON file",
-    )
-    serve.add_argument(
-        "--cache-mb", type=int, default=256, help="in-memory cache budget (MiB)"
-    )
-    serve.add_argument(
-        "--cache-dir", default=None,
-        help="shared disk cache root (see docs/service.md)",
-    )
-    serve.add_argument(
-        "--cache-budget", type=int, default=2048,
-        help="disk cache byte budget in MiB",
-    )
-    serve.add_argument(
-        "--seed", type=int, default=0,
-        help="seeds the pool's backoff jitter streams",
-    )
-    serve.add_argument(
-        "--backend", choices=("numpy", "cupy", "auto"), default=None,
-        help="default array backend for every job that doesn't set its "
-        "own 'backend' field",
-    )
-    serve.set_defaults(func=_cmd_serve)
+    batch.set_defaults(func=_cmd_batch, outdir="batch_out", workers=4)
 
     serve_http = sub.add_parser(
         "serve-http",
+        parents=[_front_flags(), _stream_flags(), _pool_flags(), _cache_flags()],
         help="serve the job gateway over HTTP/WebSocket "
         "(see docs/service.md, 'HTTP API')",
-    )
-    serve_http.add_argument("--host", default="127.0.0.1")
-    serve_http.add_argument(
-        "--port", type=int, default=8765,
-        help="TCP port; 0 picks a free port (printed on the first "
-        "stdout line as a JSON 'listening' record)",
-    )
-    serve_http.add_argument(
-        "--auth-token", default=None,
-        help="static bearer token required on /v1/ routes "
-        "(default: the PHOTOMOSAIC_TOKEN environment variable; "
-        "unset = no auth)",
-    )
-    serve_http.add_argument("--outdir", default="serve_out", help="job outputs")
-    serve_http.add_argument("--workers", type=int, default=2)
-    serve_http.add_argument(
-        "--executor", choices=("thread", "process"), default="thread",
-        help="attempt executor (thread streams per-sweep progress)",
-    )
-    serve_http.add_argument(
-        "--max-pending", type=int, default=16,
-        help="admission bound: jobs in flight before POST /v1/jobs "
-        "answers 429 with Retry-After",
-    )
-    serve_http.add_argument(
-        "--max-streams", type=int, default=64,
-        help="concurrent event streams before the route answers 503",
-    )
-    serve_http.add_argument(
-        "--max-body-kb", type=int, default=1024,
-        help="request body limit in KiB (413 beyond it)",
-    )
-    serve_http.add_argument(
-        "--retry-after", type=float, default=1.0,
-        help="Retry-After hint (seconds) on 429/503 responses",
-    )
-    serve_http.add_argument(
-        "--retries", type=int, default=1, help="default extra attempts per job"
-    )
-    serve_http.add_argument(
-        "--timeout", type=float, default=None,
-        help="default per-attempt budget in seconds",
     )
     serve_http.add_argument(
         "--metrics", default=None,
@@ -1256,30 +1003,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--event-log", default=None,
         help="append every streamed event to this NDJSON file",
     )
-    serve_http.add_argument(
-        "--cache-mb", type=int, default=256, help="in-memory cache budget (MiB)"
-    )
-    serve_http.add_argument(
-        "--cache-dir", default=None,
-        help="shared disk cache root (see docs/service.md)",
-    )
-    serve_http.add_argument(
-        "--cache-budget", type=int, default=2048,
-        help="disk cache byte budget in MiB",
-    )
-    serve_http.add_argument(
-        "--seed", type=int, default=0,
-        help="seeds the pool's backoff jitter streams",
-    )
-    serve_http.add_argument(
-        "--backend", choices=("numpy", "cupy", "auto"), default=None,
-        help="default array backend for every job that doesn't set its "
-        "own 'backend' field",
-    )
-    serve_http.set_defaults(func=_cmd_serve_http)
+    serve_http.set_defaults(func=_cmd_serve_http, port=8765)
 
     serve_node = sub.add_parser(
         "serve-node",
+        parents=[_front_flags(), _stream_flags(), _pool_flags(), _cache_flags()],
         help="serve one cluster worker node joined to a coordinator "
         "(see docs/service.md, 'Multi-node deployment')",
     )
@@ -1297,17 +1025,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--advertise-host", default=None,
         help="host peers should dial (default: the --host bind address)",
     )
-    serve_node.add_argument("--host", default="127.0.0.1")
-    serve_node.add_argument(
-        "--port", type=int, default=0,
-        help="TCP port; 0 (default) picks a free port, printed on the "
-        "first stdout line",
-    )
-    serve_node.add_argument(
-        "--auth-token", default=None,
-        help="cluster-wide bearer token (default: PHOTOMOSAIC_TOKEN; "
-        "must match the coordinator's)",
-    )
     serve_node.add_argument(
         "--heartbeat-interval", type=float, default=0.5,
         help="seconds between heartbeats to the coordinator",
@@ -1322,73 +1039,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="minimum wall-clock seconds per job (emulated duration for "
         "capacity benchmarking on small hosts; 0 = off)",
     )
-    serve_node.add_argument("--outdir", default="serve_out", help="job outputs")
-    serve_node.add_argument("--workers", type=int, default=2)
-    serve_node.add_argument(
-        "--executor", choices=("thread", "process"), default="thread",
-        help="attempt executor (thread streams per-sweep progress)",
-    )
-    serve_node.add_argument(
-        "--max-pending", type=int, default=16,
-        help="admission bound before POST /v1/jobs answers 429 (the "
-        "coordinator then spills to the next-ranked node)",
-    )
-    serve_node.add_argument(
-        "--max-streams", type=int, default=64,
-        help="concurrent event streams before the route answers 503",
-    )
-    serve_node.add_argument(
-        "--max-body-kb", type=int, default=262144,
-        help="request body limit in KiB — node default is large because "
-        "internal cache replication PUTs carry full error matrices",
-    )
-    serve_node.add_argument(
-        "--retry-after", type=float, default=1.0,
-        help="Retry-After hint (seconds) on 429/503 responses",
-    )
-    serve_node.add_argument(
-        "--retries", type=int, default=1, help="default extra attempts per job"
-    )
-    serve_node.add_argument(
-        "--timeout", type=float, default=None,
-        help="default per-attempt budget in seconds",
-    )
-    serve_node.add_argument(
-        "--cache-mb", type=int, default=256, help="in-memory cache budget (MiB)"
-    )
-    serve_node.add_argument(
-        "--cache-dir", default=None,
-        help="node-local disk cache root; required for the cluster's "
-        "consistent-hashed shared cache tier (unset = local-only cache)",
-    )
-    serve_node.add_argument(
-        "--cache-budget", type=int, default=2048,
-        help="disk cache byte budget in MiB",
-    )
-    serve_node.add_argument(
-        "--seed", type=int, default=0,
-        help="seeds the pool's backoff jitter streams",
-    )
-    serve_node.add_argument(
-        "--backend", choices=("numpy", "cupy", "auto"), default=None,
-        help="default array backend for jobs without a 'backend' field",
-    )
-    serve_node.set_defaults(func=_cmd_serve_node)
+    # Internal cache-replication PUTs carry full error matrices, hence
+    # the node's much larger body limit.
+    serve_node.set_defaults(func=_cmd_serve_node, port=0, max_body_kb=262144)
 
     serve_cluster = sub.add_parser(
         "serve-cluster",
+        parents=[_front_flags()],
         help="serve the cluster coordinator (admission, sharding, "
         "replicated event logs; see docs/service.md)",
-    )
-    serve_cluster.add_argument("--host", default="127.0.0.1")
-    serve_cluster.add_argument(
-        "--port", type=int, default=8700,
-        help="TCP port; 0 picks a free port, printed on the first "
-        "stdout line",
-    )
-    serve_cluster.add_argument(
-        "--auth-token", default=None,
-        help="cluster-wide bearer token (default: PHOTOMOSAIC_TOKEN)",
     )
     serve_cluster.add_argument(
         "--heartbeat-deadline", type=float, default=3.0,
@@ -1396,18 +1055,10 @@ def build_parser() -> argparse.ArgumentParser:
         "dead and its jobs re-dispatch",
     )
     serve_cluster.add_argument(
-        "--max-pending", type=int, default=256,
-        help="cluster-wide admission bound (429 beyond it)",
-    )
-    serve_cluster.add_argument(
-        "--retry-after", type=float, default=1.0,
-        help="Retry-After hint (seconds) on 429/503 responses",
-    )
-    serve_cluster.add_argument(
         "--metrics", default=None,
         help="write a metrics JSON report here on drained exit",
     )
-    serve_cluster.set_defaults(func=_cmd_serve_cluster)
+    serve_cluster.set_defaults(func=_cmd_serve_cluster, port=8700, max_pending=256)
     return parser
 
 

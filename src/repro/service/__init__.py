@@ -22,8 +22,8 @@ This subsystem turns the one-shot pipeline into a servable workload:
   ``photomosaic batch``;
 * :mod:`repro.service.gateway` — the asyncio streaming intake layer
   (bounded admission with typed backpressure, per-job event streams,
-  cooperative cancellation, NDJSON event logs) behind
-  ``photomosaic serve``;
+  cooperative cancellation, NDJSON event logs) that every network
+  front submits through;
 * :mod:`repro.service.http` — the HTTP/1.1 + WebSocket network front
   over the gateway (job submission, resumable event streams, Prometheus
   ``/metrics``, bearer auth, graceful drain) behind

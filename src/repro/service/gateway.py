@@ -143,7 +143,7 @@ class MosaicGateway:
     ----------
     pool:
         The worker pool executing jobs.  The gateway does not own it —
-        shut it down separately (the ``serve`` CLI does both).
+        shut it down separately (the ``serve-http`` CLI does both).
     max_pending:
         Admission bound: maximum jobs admitted but not yet terminal.
         Submissions beyond it raise :class:`AdmissionRejected`.
@@ -242,17 +242,6 @@ class MosaicGateway:
             time.perf_counter(),
         )
         return JobStream(record.job_id, record, self._streams[record.job_id])
-
-    async def submit_when_admitted(
-        self, spec: JobSpec, *, poll: float = 0.01
-    ) -> JobStream:
-        """Blocking-style submit: wait for an admission slot instead of
-        raising.  Manifest-driven serving uses this for backpressure."""
-        while True:
-            try:
-                return await self.submit(spec)
-            except AdmissionRejected:
-                await asyncio.sleep(poll)
 
     async def cancel(self, job_id: str) -> bool:
         """Request cancellation; see :meth:`WorkerPool.cancel` semantics.

@@ -98,22 +98,6 @@ class TestAdmission:
 
         run_async(main())
 
-    def test_submit_when_admitted_waits_for_slot(self):
-        async def main():
-            pool = WorkerPool(workers=2, runner=_echo, seed=0)
-            async with MosaicGateway(pool, max_pending=2) as gateway:
-                streams = [
-                    await gateway.submit_when_admitted(spec(f"j{i}"))
-                    for i in range(6)
-                ]
-                for stream in streams:
-                    await stream.collect()
-            pool.shutdown()
-            assert all(s.record.state is JobState.DONE for s in streams)
-            assert pool.metrics.counter("gateway_admitted").value == 6
-
-        run_async(main())
-
     def test_submit_after_close_rejected(self):
         async def main():
             pool = WorkerPool(workers=1, runner=_echo, seed=0)

@@ -1,9 +1,9 @@
-"""Graceful-drain tests for the two serving CLIs, over real processes.
+"""Graceful-drain tests for ``photomosaic serve-http``, over real processes.
 
-Both ``photomosaic serve`` (NDJSON over stdin/stdout) and
-``photomosaic serve-http`` must treat the first SIGINT/SIGTERM as a
-drain request: stop taking new work, let admitted jobs run to their
-terminal event, then exit 0 — not die mid-job.
+The first SIGINT/SIGTERM is a drain request: stop taking new work, let
+admitted jobs run to their terminal event, then exit 0 — not die
+mid-job.  A second signal cancels the jobs still in flight, so their
+streams end with ``CANCELLED`` and the process still exits cleanly.
 """
 
 from __future__ import annotations
@@ -11,26 +11,20 @@ from __future__ import annotations
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import time
 
-import pytest
-
 REPO_SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 
-JOB_LINE = (
-    json.dumps(
-        {
-            "input": "portrait",
-            "target": "sailboat",
-            "size": 64,
-            "tile_size": 8,
-            "name": "drainee",
-        }
-    )
-    + "\n"
-)
+JOB = {
+    "input": "portrait",
+    "target": "sailboat",
+    "size": 64,
+    "tile_size": 8,
+    "name": "drainee",
+}
 
 
 def spawn(*argv: str) -> subprocess.Popen:
@@ -39,7 +33,6 @@ def spawn(*argv: str) -> subprocess.Popen:
     env["PYTHONUNBUFFERED"] = "1"
     return subprocess.Popen(
         [sys.executable, "-m", "repro.cli", *argv],
-        stdin=subprocess.PIPE,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=env,
@@ -47,22 +40,16 @@ def spawn(*argv: str) -> subprocess.Popen:
     )
 
 
-def read_until(process: subprocess.Popen, kind: str, deadline: float = 30.0):
-    """Read NDJSON stdout lines until one with ``kind`` arrives."""
-    lines = []
+def wait_until_refused(port: int, deadline: float = 10.0) -> None:
+    """Block until the server stops accepting connections (drain began)."""
     end = time.monotonic() + deadline
     while time.monotonic() < end:
-        line = process.stdout.readline()
-        if not line:
-            break
-        record = json.loads(line)
-        lines.append(record)
-        if record.get("kind") == kind:
-            return record, lines
-    raise AssertionError(
-        f"no {kind!r} line within {deadline}s; saw "
-        f"{[r.get('kind') for r in lines]}"
-    )
+        try:
+            socket.create_connection(("127.0.0.1", port), timeout=1.0).close()
+        except OSError:
+            return
+        time.sleep(0.01)
+    raise AssertionError(f"port {port} still accepting after {deadline}s")
 
 
 def finish(process: subprocess.Popen, timeout: float = 30.0) -> tuple[str, str]:
@@ -73,74 +60,6 @@ def finish(process: subprocess.Popen, timeout: float = 30.0) -> tuple[str, str]:
         out, err = process.communicate()
         raise AssertionError(f"process did not exit; stderr:\n{err}")
     return out, err
-
-
-class TestServeStdinDrain:
-    def test_sigint_drains_in_flight_job_then_exits(self, tmp_path):
-        process = spawn(
-            "serve", "--workers", "1", "--outdir", str(tmp_path / "out")
-        )
-        try:
-            process.stdin.write(JOB_LINE)
-            process.stdin.flush()
-            admitted, _ = read_until(process, "admitted")
-            job_id = admitted["job_id"]
-
-            process.send_signal(signal.SIGINT)
-            draining, _ = read_until(process, "draining")
-            assert draining["terminal"] is False
-
-            # The admitted job still runs to a real terminal event even
-            # though stdin stays open (signal, not EOF, ended intake).
-            terminal = None
-            while terminal is None or not terminal["terminal"]:
-                terminal, _ = read_until(process, "state")
-            assert terminal["job_id"] == job_id
-            assert terminal["terminal"] is True
-            assert terminal["payload"]["state"] == "DONE"
-
-            _, err = finish(process)
-            assert process.returncode == 0, err
-        finally:
-            if process.poll() is None:
-                process.kill()
-                process.communicate()
-
-    def test_second_sigint_cancels_in_flight_jobs(self, tmp_path):
-        process = spawn(
-            "serve",
-            "--workers", "1",
-            "--outdir", str(tmp_path / "out"),
-            # A big job so it is still mid-sweep when the signals land.
-            "--timeout", "120",
-        )
-        big_job = json.dumps(
-            {
-                "input": "portrait",
-                "target": "sailboat",
-                "size": 256,
-                "tile_size": 4,
-                "name": "victim",
-            }
-        )
-        try:
-            process.stdin.write(big_job + "\n")
-            process.stdin.flush()
-            read_until(process, "sweep")
-            process.send_signal(signal.SIGINT)
-            read_until(process, "draining")
-            process.send_signal(signal.SIGINT)
-            terminal = None
-            while terminal is None or not terminal["terminal"]:
-                terminal, _ = read_until(process, "state")
-            assert terminal["terminal"] is True
-            assert terminal["payload"]["state"] in ("CANCELLED", "DONE")
-            finish(process)
-            assert process.returncode == 0
-        finally:
-            if process.poll() is None:
-                process.kill()
-                process.communicate()
 
 
 class TestServeHttpDrain:
@@ -160,12 +79,47 @@ class TestServeHttpDrain:
             from repro.service.client import MosaicServiceClient
 
             client = MosaicServiceClient(f"http://127.0.0.1:{port}")
-            job = client.submit(json.loads(JOB_LINE))
+            job = client.submit(JOB)
             events = list(client.events(job["job_id"]))
             assert events[-1]["terminal"]
             assert events[-1]["payload"]["state"] == "DONE"
 
             process.send_signal(signal.SIGTERM)
+            out, err = finish(process)
+            assert process.returncode == 0, err
+            records = [json.loads(line) for line in out.splitlines() if line]
+            assert records[-1]["kind"] == "drained"
+            assert records[-1]["jobs"] == 1
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.communicate()
+
+    def test_second_sigint_cancels_in_flight_jobs(self, tmp_path):
+        from repro.service.client import MosaicServiceClient
+
+        process = spawn(
+            "serve-http",
+            "--port", "0",
+            "--workers", "1",
+            "--outdir", str(tmp_path / "out"),
+        )
+        try:
+            port = json.loads(process.stdout.readline())["port"]
+            client = MosaicServiceClient(f"http://127.0.0.1:{port}")
+            # S = (256/8)^2 = 1024 tiles: still mid-2-opt at its first sweep.
+            job = client.submit(dict(JOB, size=256, name="victim"))
+            events = client.events(job["job_id"], reconnect=False)
+            for event in events:
+                if event["kind"] == "sweep":
+                    break
+            process.send_signal(signal.SIGINT)
+            wait_until_refused(port)  # the first signal took effect
+            process.send_signal(signal.SIGINT)
+            terminal = [event for event in events if event["terminal"]]
+            assert len(terminal) == 1
+            assert terminal[0]["payload"]["state"] in ("CANCELLED", "DONE")
+
             out, err = finish(process)
             assert process.returncode == 0, err
             records = [json.loads(line) for line in out.splitlines() if line]

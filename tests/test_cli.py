@@ -273,3 +273,142 @@ class TestSeedPlumbing:
     def test_batch_seed_defaults_to_zero(self):
         args = build_parser().parse_args(["batch", "--manifest", "jobs.json"])
         assert args.seed == 0
+
+
+# Flag -> default of every service subcommand, as they stood before the
+# shared ``parents=`` flag groups replaced the per-command copies.  The
+# groups must change no flag and no default.
+SERVICE_FLAG_DEFAULTS = {
+    "batch": {
+        "--manifest": None,
+        "--outdir": "batch_out",
+        "--workers": 4,
+        "--executor": "thread",
+        "--retries": 1,
+        "--timeout": None,
+        "--metrics": None,
+        "--cache-mb": 256,
+        "--cache-dir": None,
+        "--cache-budget": 2048,
+        "--seed": 0,
+        "--backend": None,
+    },
+    "serve-http": {
+        "--host": "127.0.0.1",
+        "--port": 8765,
+        "--auth-token": None,
+        "--outdir": "serve_out",
+        "--workers": 2,
+        "--executor": "thread",
+        "--max-pending": 16,
+        "--max-streams": 64,
+        "--max-body-kb": 1024,
+        "--retry-after": 1.0,
+        "--retries": 1,
+        "--timeout": None,
+        "--metrics": None,
+        "--event-log": None,
+        "--cache-mb": 256,
+        "--cache-dir": None,
+        "--cache-budget": 2048,
+        "--seed": 0,
+        "--backend": None,
+    },
+    "serve-node": {
+        "--coordinator": None,
+        "--node-id": None,
+        "--advertise-host": None,
+        "--host": "127.0.0.1",
+        "--port": 0,
+        "--auth-token": None,
+        "--heartbeat-interval": 0.5,
+        "--lease-ttl": 60.0,
+        "--job-floor-seconds": 0.0,
+        "--outdir": "serve_out",
+        "--workers": 2,
+        "--executor": "thread",
+        "--max-pending": 16,
+        "--max-streams": 64,
+        "--max-body-kb": 262144,
+        "--retry-after": 1.0,
+        "--retries": 1,
+        "--timeout": None,
+        "--cache-mb": 256,
+        "--cache-dir": None,
+        "--cache-budget": 2048,
+        "--seed": 0,
+        "--backend": None,
+    },
+    "serve-cluster": {
+        "--host": "127.0.0.1",
+        "--port": 8700,
+        "--auth-token": None,
+        "--heartbeat-deadline": 3.0,
+        "--max-pending": 256,
+        "--retry-after": 1.0,
+        "--metrics": None,
+    },
+}
+
+#: Arguments each subcommand needs before it parses at all.
+REQUIRED_ARGS = {
+    "batch": ["--manifest", "jobs.json"],
+    "serve-http": [],
+    "serve-node": ["--coordinator", "127.0.0.1:8700"],
+    "serve-cluster": [],
+}
+
+#: Counts and budgets that only make sense >= 1.
+POSITIVE_INT_FLAGS = (
+    "--workers", "--max-pending", "--max-streams", "--max-body-kb",
+    "--cache-mb", "--cache-budget",
+)
+
+
+def _subparser(name):
+    import argparse
+
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[name]
+
+
+class TestServiceParserContract:
+    @pytest.mark.parametrize("command", sorted(SERVICE_FLAG_DEFAULTS))
+    def test_flags_and_defaults_pinned(self, command):
+        parser = _subparser(command)
+        table = {
+            max(action.option_strings, key=len): parser.get_default(action.dest)
+            for action in parser._actions
+            if action.option_strings and action.dest != "help"
+        }
+        assert table == SERVICE_FLAG_DEFAULTS[command]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--workers", "1"],
+            ["batch", "--manifest", "jobs.json", "--spill-dir", "spill"],
+        ],
+        ids=["serve", "batch-spill-dir"],
+    )
+    def test_removed_entry_points_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [
+            (command, flag)
+            for command, flags in SERVICE_FLAG_DEFAULTS.items()
+            for flag in POSITIVE_INT_FLAGS
+            if flag in flags
+        ],
+    )
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_non_positive_counts_are_usage_errors(self, command, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *REQUIRED_ARGS[command], flag, value])
+        assert exc.value.code == 2
+        assert "must be a positive integer" in capsys.readouterr().err

@@ -102,7 +102,8 @@ def test_tile_transforms(monkeypatch, tmp_path, capsys):
 
 
 def test_database_mosaic(monkeypatch, tmp_path, capsys):
-    _run_example(monkeypatch, tmp_path, "database_mosaic.py", [])
+    # The example itself asserts every tile is distinct without reuse.
+    _run_example(monkeypatch, tmp_path, "database_mosaic.py", ["--size", "128"])
     out = capsys.readouterr().out
     assert "with reuse" in out
     assert "without reuse" in out
