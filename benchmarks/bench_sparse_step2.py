@@ -16,9 +16,9 @@ Invariants asserted on every run:
   rows (the acceptance envelope pinned by ISSUE 8);
 * sparse runs get faster than exact as the shortlist narrows.
 
-Wall-clock fields are additionally compared against a committed record
-with ``--baseline`` (the CI sparse-smoke job fails on a > 2x
-regression)::
+Wall-clock fields — the exact run and every frontier row, matched by
+``top_k`` — are additionally compared against a committed record with
+``--baseline`` (the CI sparse-smoke job fails on a > 2x regression)::
 
     PYTHONPATH=src python benchmarks/bench_sparse_step2.py --out BENCH_8.json
     PYTHONPATH=src python benchmarks/bench_sparse_step2.py \
@@ -167,15 +167,29 @@ def check_invariants(report: dict) -> list[str]:
 
 
 def check_baseline(report: dict, baseline: dict, max_ratio: float) -> list[str]:
+    """Timing regressions beyond ``max_ratio``: the exact run's
+    :data:`TIMED_FIELDS` and each frontier row's ``seconds`` against the
+    baseline row with the same ``top_k``."""
+    old_frontier = baseline.get("frontier", {})
+    new_frontier = report.get("frontier", {})
+    pairs = [
+        (f"frontier.{field}", old_frontier.get(field), new_frontier.get(field))
+        for field in TIMED_FIELDS
+    ]
+    old_seconds = {
+        row["top_k"]: row["seconds"] for row in old_frontier.get("frontier", [])
+    }
+    pairs += [
+        (f"top_k={row['top_k']} seconds", old_seconds.get(row["top_k"]), row["seconds"])
+        for row in new_frontier.get("frontier", [])
+    ]
     failures = []
-    for field in TIMED_FIELDS:
-        old = baseline.get("frontier", {}).get(field)
-        new = report.get("frontier", {}).get(field)
+    for name, old, new in pairs:
         if not old or not new:
             continue
         if new > old * max_ratio:
             failures.append(
-                f"frontier.{field}: {new:.3f}s vs baseline {old:.3f}s "
+                f"{name}: {new:.3f}s vs baseline {old:.3f}s "
                 f"(> {max_ratio:.1f}x regression)"
             )
     return failures

@@ -104,6 +104,10 @@ class AssignmentSolver(ABC):
         ``optimal`` is ``True`` only in that complete case — on a
         restricted edge set even an exact solver only certifies the
         restriction, so duals are dropped and optimality is not claimed.
+        What the dense solve did certify is recorded as
+        ``meta["sparse"]["filled_optimal"]``: the permutation minimises
+        the sentinel-filled matrix, so no swap — in particular no
+        candidate-restricted 2-opt swap over that matrix — improves it.
         """
         sparse_meta = {
             "top_k": sparse.top_k,
@@ -114,7 +118,14 @@ class AssignmentSolver(ABC):
             result = self.solve(sparse.to_dense())
             return replace(
                 result,
-                meta={**result.meta, "sparse": {**sparse_meta, "fallback": 0}},
+                meta={
+                    **result.meta,
+                    "sparse": {
+                        **sparse_meta,
+                        "fallback": 0,
+                        "filled_optimal": result.optimal,
+                    },
+                },
             )
         filled = sparse.to_dense()
         result = self.solve(filled)
@@ -147,6 +158,7 @@ class AssignmentSolver(ABC):
                     **sparse_meta,
                     "fallback": fallback,
                     "exact_fallback": exact_fallback,
+                    "filled_optimal": result.optimal,
                 },
             },
         )

@@ -127,6 +127,7 @@ class GreedySolver(AssignmentSolver):
                     ),
                     "fallback": fallback,
                     "exact_fallback": True,
+                    "filled_optimal": False,
                 }
             },
         )

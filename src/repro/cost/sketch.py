@@ -19,8 +19,10 @@ Three kinds:
 * ``"pyramid"`` — bucket means at three resolutions (1, 4, 16 buckets)
   concatenated, a coarse-to-fine summary;
 * ``"pca"`` — projection onto the top principal components of the
-  *combined* feature cloud, computed with deterministic ``eigh`` and a
-  sign convention so repeated runs agree.
+  *combined* feature cloud (:func:`pca_axes`, fitted once per cloud),
+  computed with deterministic ``eigh`` — or a thin SVD when the cloud
+  has fewer rows than features — and a sign convention so repeated
+  runs agree.
 
 ``"mean"`` and ``"pyramid"`` are pure bucket arithmetic: bit-reproducible
 across runs and invariant under permutation of the tile axis (row ``i``
@@ -35,7 +37,7 @@ import numpy as np
 
 from repro.exceptions import ValidationError
 
-__all__ = ["SKETCH_KINDS", "sketch_features", "bucket_means"]
+__all__ = ["SKETCH_KINDS", "sketch_features", "bucket_means", "pca_axes"]
 
 #: Registered sketch kinds (the ``MosaicConfig.sketch`` knob).
 SKETCH_KINDS = ("mean", "pyramid", "pca")
@@ -74,26 +76,39 @@ def bucket_means(features: np.ndarray, buckets: int) -> np.ndarray:
     return out
 
 
-def _pca_sketch(features: np.ndarray, dims: int) -> np.ndarray:
-    """Project onto the top-``dims`` principal axes (deterministic).
+def pca_axes(
+    basis_features: np.ndarray, dims: int = DEFAULT_PCA_DIMS
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fit the ``"pca"`` sketch basis: ``(mean (1, F), axes (F, D))``.
 
-    Uses ``eigh`` on the feature covariance (symmetric, so the
-    decomposition is deterministic for a given build) and fixes each
-    component's sign by making its largest-magnitude coefficient
-    positive — without the convention, eigenvectors are only defined up
-    to sign and restarts could disagree.
+    A matrix is sketched as ``(features - mean) @ axes``.  The axes are
+    the top-``dims`` principal directions of ``basis_features``; with
+    ``N`` rows and ``F`` columns, ``D = min(dims, F, N)``.  For
+    ``N >= F`` they come from ``eigh`` of the ``F x F`` covariance
+    (symmetric, so the decomposition is deterministic for a given
+    build); for ``N < F``, from the thin SVD of the centred ``N x F``
+    matrix, which spans the same leading directions without forming
+    the covariance.  Each axis's sign is fixed by making its
+    largest-magnitude coefficient positive — without the convention,
+    principal directions are only defined up to sign and restarts could
+    disagree.
     """
-    features = _check_features(features)
-    dims = min(max(1, dims), features.shape[1])
-    centered = features - features.mean(axis=0, keepdims=True)
-    cov = centered.T @ centered
-    _, vecs = np.linalg.eigh(cov)
-    # eigh returns ascending eigenvalues; take the trailing columns.
-    basis = vecs[:, ::-1][:, :dims]
-    anchor = np.abs(basis).argmax(axis=0)
-    signs = np.sign(basis[anchor, np.arange(dims)])
+    basis_features = _check_features(basis_features)
+    n, f = basis_features.shape
+    dims = min(max(1, dims), f, n)
+    mean = basis_features.mean(axis=0, keepdims=True)
+    centered = basis_features - mean
+    if n >= f:
+        _, vecs = np.linalg.eigh(centered.T @ centered)
+        # eigh returns ascending eigenvalues; take the trailing columns.
+        axes = vecs[:, ::-1][:, :dims]
+    else:
+        # Singular values come back descending.
+        axes = np.linalg.svd(centered, full_matrices=False)[2][:dims].T
+    anchor = np.abs(axes).argmax(axis=0)
+    signs = np.sign(axes[anchor, np.arange(dims)])
     signs[signs == 0] = 1.0
-    return centered @ (basis * signs)
+    return mean, axes * signs
 
 
 def sketch_features(
@@ -115,11 +130,14 @@ def sketch_features(
     buckets:
         Bucket count for ``"mean"`` (capped at ``F``).
     dims:
-        Output dimensionality for ``"pca"`` (capped at ``F``).
+        Output dimensionality for ``"pca"`` (capped at ``F`` and at the
+        number of basis rows; see :func:`pca_axes`).
     basis_features:
         For ``"pca"`` only: fit the projection basis on this matrix
-        instead of ``features``.  The sparse builder passes the stacked
-        input+target features so both sides share one sketch space.
+        instead of ``features``.  To sketch several matrices in one
+        space, fit the basis once with :func:`pca_axes` and project each
+        (:func:`~repro.cost.sparse.sparse_error_matrix` does so for its
+        input and target stacks).
     """
     features = _check_features(features)
     if kind == "mean":
@@ -129,24 +147,15 @@ def sketch_features(
             [bucket_means(features, b) for b in (1, 4, 16)], axis=1
         )
     if kind == "pca":
-        if basis_features is None:
-            return _pca_sketch(features, dims)
-        basis_features = _check_features(basis_features)
-        if basis_features.shape[1] != features.shape[1]:
+        mean, axes = pca_axes(
+            features if basis_features is None else basis_features, dims
+        )
+        if mean.shape[1] != features.shape[1]:
             raise ValidationError(
-                f"basis features have width {basis_features.shape[1]}, "
+                f"basis features have width {mean.shape[1]}, "
                 f"sketch input has {features.shape[1]}"
             )
-        dims = min(max(1, dims), features.shape[1])
-        mean = basis_features.mean(axis=0, keepdims=True)
-        centered = basis_features - mean
-        cov = centered.T @ centered
-        _, vecs = np.linalg.eigh(cov)
-        basis = vecs[:, ::-1][:, :dims]
-        anchor = np.abs(basis).argmax(axis=0)
-        signs = np.sign(basis[anchor, np.arange(dims)])
-        signs[signs == 0] = 1.0
-        return (features - mean) @ (basis * signs)
+        return (features - mean) @ axes
     raise ValidationError(
         f"unknown sketch kind {kind!r} (use one of {SKETCH_KINDS})"
     )

@@ -9,7 +9,9 @@ the sparse alternative the ROADMAP's "sublinear Step 2" item asks for:
 2. cluster the *positions* (target tiles) with the seeded k-means from
    :mod:`repro.library.shortlist` and rank each input tile's preference
    over all positions — fine sketch-distance order inside the nearest
-   clusters (the "head"), coarse centroid order beyond;
+   clusters (the "head"), coarse centroid order beyond — a small block
+   of input tiles at a time, with two stable argsorts per block (by
+   sketch distance, then by head/cluster-rank group);
 3. select ``top_k`` positions per input tile by a degree-capped
    round-robin over those preference orders (no position is shortlisted
    by more than ``top_k`` tiles), keeping the bipartite candidate graph
@@ -39,7 +41,7 @@ import numpy as np
 from repro.accel.backend import ArrayBackend, get_backend
 from repro.cost.base import CostMetric, get_metric
 from repro.cost.matrix import DEFAULT_CHUNK_BUDGET, check_tile_stacks, error_matrix
-from repro.cost.sketch import SKETCH_KINDS, sketch_features
+from repro.cost.sketch import SKETCH_KINDS, pca_axes, sketch_features
 from repro.exceptions import ValidationError
 from repro.types import ERROR_DTYPE, ErrorMatrix, PermutationArray, TileStack
 from repro.utils.validation import check_permutation
@@ -52,6 +54,11 @@ DEFAULT_TOP_K = 32
 #: The fine-ranked head of each preference order covers this many times
 #: ``top_k`` candidates (nearest k-means clusters, widened to cover it).
 HEAD_FACTOR = 8
+
+#: Scalar elements of the ``(rows, S, F)`` sketch-difference block that
+#: :func:`_preference_orders` ranks at once: 8 rows at S=1024 with the
+#: 16-bucket mean sketch, small enough to stay cache-resident.
+_ORDER_BLOCK_ELEMENTS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -309,15 +316,15 @@ def sparse_error_matrix(
         )
 
     # Sketch both stacks in the metric's feature space.  PCA fits one
-    # shared basis over the combined cloud so input and position sketches
-    # live in the same coordinates.
-    basis = (
-        np.concatenate([features_in, features_tg], axis=0)
-        if sketch == "pca"
-        else None
-    )
-    sketch_in = sketch_features(features_in, sketch, basis_features=basis)
-    sketch_tg = sketch_features(features_tg, sketch, basis_features=basis)
+    # shared basis, once, over the combined cloud so input and position
+    # sketches live in the same coordinates.
+    if sketch == "pca":
+        mean, axes = pca_axes(np.concatenate([features_in, features_tg], axis=0))
+        sketch_in = (features_in - mean) @ axes
+        sketch_tg = (features_tg - mean) @ axes
+    else:
+        sketch_in = sketch_features(features_in, sketch)
+        sketch_tg = sketch_features(features_tg, sketch)
 
     orders, n_clusters = _preference_orders(
         sketch_in,
@@ -389,13 +396,6 @@ def _score_pairs_chunked(
     return costs
 
 
-def _sq_dist_rows(point: np.ndarray, others: np.ndarray) -> np.ndarray:
-    """Squared sketch distances from one point to a stack (deterministic:
-    explicit broadcast, no BLAS reductions)."""
-    diff = others - point[None, :]
-    return np.einsum("nf,nf->n", diff, diff)
-
-
 def _preference_orders(
     sketch_in: np.ndarray,
     sketch_tg: np.ndarray,
@@ -417,37 +417,53 @@ def _preference_orders(
     structure keeps the fine ranking effort concentrated near the head.
     All ties break on ascending position, so the order is a pure
     function of the sketches and the k-means seed.
+
+    Rows are ranked in blocks whose ``(rows, S, F)`` sketch difference
+    holds at most :data:`_ORDER_BLOCK_ELEMENTS` scalars.  Each position
+    gets a group key — 0 inside the head, else its cluster's centroid
+    rank — and one stable argsort by sketch distance followed by one
+    stable (radix) argsort by group key orders each row by ``(group,
+    distance, position)``: exactly the head-then-clusters concatenation
+    described above.  Distances use the same per-pair ``einsum``
+    contraction as the per-row formulation, so the orders are
+    bit-identical to it (``tests/cost/test_sparse_orders.py``).
     """
     from repro.library.shortlist import kmeans
 
-    s = sketch_tg.shape[0]
+    s, f = sketch_tg.shape
     if clusters == 0:
         clusters = max(1, int(round(s**0.5)))
     clusters = min(clusters, s)
     centroids, labels = kmeans(sketch_tg, clusters, seed=seed)
-    members = [np.flatnonzero(labels == c) for c in range(clusters)]
+    sizes = np.bincount(labels, minlength=clusters)
     probes = max(1, min(probes, clusters))
+    # A rank r may end the head once r + 1 >= probes.
+    may_end = np.arange(1, clusters + 1) >= probes
+    group_dtype = np.min_scalar_type(clusters)
+    block = max(1, _ORDER_BLOCK_ELEMENTS // (s * f))
     orders = np.empty((s, s), dtype=np.int64)
-    for u in range(s):
+    for start in range(0, s, block):
+        point = sketch_in[start : start + block, None, :]
+        rows = np.arange(point.shape[0])[:, None]
+        diff = centroids[None, :, :] - point
         cluster_rank = np.argsort(
-            _sq_dist_rows(sketch_in[u], centroids), kind="stable"
+            np.einsum("bnf,bnf->bn", diff, diff), axis=1, kind="stable"
         )
-        head_count = 0
-        covered = 0
-        for rank, c in enumerate(cluster_rank):
-            covered += members[c].size
-            head_count = rank + 1
-            if head_count >= probes and covered >= head_width:
-                break
-        parts = []
-        head = np.concatenate([members[c] for c in cluster_rank[:head_count]])
-        dist = _sq_dist_rows(sketch_in[u], sketch_tg[head])
-        parts.append(head[np.lexsort((head, dist))])
-        for c in cluster_rank[head_count:]:
-            m = members[c]
-            dist = _sq_dist_rows(sketch_in[u], sketch_tg[m])
-            parts.append(m[np.lexsort((m, dist))])
-        orders[u] = np.concatenate(parts)
+        covered = np.cumsum(sizes[cluster_rank], axis=1)
+        ends = may_end & (covered >= head_width)
+        head_count = np.where(ends.any(axis=1), ends.argmax(axis=1) + 1, clusters)
+        rank_of = np.empty_like(cluster_rank)
+        rank_of[rows, cluster_rank] = np.arange(clusters)
+        group = rank_of[:, labels]
+        group[group < head_count[:, None]] = 0
+        diff = sketch_tg[None, :, :] - point
+        by_dist = np.argsort(
+            np.einsum("bnf,bnf->bn", diff, diff), axis=1, kind="stable"
+        )
+        by_group = np.argsort(
+            group.astype(group_dtype)[rows, by_dist], axis=1, kind="stable"
+        )
+        orders[start : start + block] = by_dist[rows, by_group]
     return orders, clusters
 
 

@@ -132,14 +132,17 @@ class PhotomosaicGenerator:
         Step-2 path), the solver runs over the shortlist via
         :meth:`~repro.assignment.base.AssignmentSolver.solve_sparse` and
         the local searches restrict their sweeps to candidate placements;
-        ``matrix`` must then be its sentinel densification.  A complete
-        sparse matrix is ignored — the dense code path already is the
-        exact computation.
+        ``matrix`` must then be its sentinel densification.  When the
+        warm-start solve is certified optimal on that densification
+        (``meta["sparse"]["filled_optimal"]``: every exact solver), no
+        sweep can improve it, so the local search is skipped — the trace
+        is ``None``, no ``on_sweep`` call is made and ``meta["polish"]``
+        is ``"skipped"``.  A complete sparse matrix is ignored — the
+        dense code path already is the exact computation.
         """
         cfg = self.config
         if sparse is not None and sparse.complete:
             sparse = None
-        candidates = None if sparse is None else sparse.mask()
         if cfg.algorithm == "optimization":
             solver = get_solver(cfg.solver)
             result = (
@@ -166,8 +169,18 @@ class PhotomosaicGenerator:
         # local-search algorithms, so the knob doubles as the sparse
         # warm-start choice (``"greedy"`` for the cheapest start).
         initial = None
+        candidates = None
         if sparse is not None:
-            initial = get_solver(cfg.solver).solve_sparse(sparse).permutation
+            warm = get_solver(cfg.solver).solve_sparse(sparse)
+            warm_meta = {"warm_start": f"{cfg.solver}-sparse"}
+            if warm.meta.get("sparse", {}).get("filled_optimal", False):
+                # The warm start minimises ``matrix`` itself (the same
+                # sentinel densification the sweeps would read) and 2-opt
+                # commits only strictly improving swaps, so the polish
+                # could only hand the warm start back.
+                return warm.permutation, None, {**warm_meta, "polish": "skipped"}
+            initial = warm.permutation
+            candidates = sparse.mask()
         if cfg.algorithm == "approximation":
             result = local_search_serial(
                 matrix,
@@ -191,7 +204,7 @@ class PhotomosaicGenerator:
             )
         meta = {"strategy": result.strategy, **result.meta}
         if sparse is not None:
-            meta["warm_start"] = f"{cfg.solver}-sparse"
+            meta.update(warm_meta)
         return result.permutation, result.trace, meta
 
     def generate(

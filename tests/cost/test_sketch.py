@@ -10,6 +10,7 @@ from repro.cost.sketch import (
     DEFAULT_PCA_DIMS,
     SKETCH_KINDS,
     bucket_means,
+    pca_axes,
     sketch_features,
 )
 from repro.exceptions import ValidationError
@@ -97,3 +98,41 @@ def test_sketch_dim_is_much_smaller_than_features(rng):
     for kind in SKETCH_KINDS:
         out = sketch_features(wide, kind)
         assert out.shape[1] <= 64
+
+
+def _eigh_pca(basis: np.ndarray, features: np.ndarray, dims: int) -> np.ndarray:
+    """The covariance-``eigh`` PCA sketch, written out as the reference."""
+    mean = basis.mean(axis=0, keepdims=True)
+    centered = basis - mean
+    _, vecs = np.linalg.eigh(centered.T @ centered)
+    axes = vecs[:, ::-1][:, :dims]
+    signs = np.sign(axes[np.abs(axes).argmax(axis=0), np.arange(dims)])
+    signs[signs == 0] = 1.0
+    return (features - mean) @ (axes * signs)
+
+
+def test_pca_with_more_rows_than_features_is_the_eigh_fit(features, rng):
+    """N >= F keeps the covariance ``eigh`` arithmetic bit for bit."""
+    tall = np.concatenate([features, features[::-1] * 0.5 + 3.0], axis=0)
+    tall = np.concatenate([tall, tall + rng.normal(size=tall.shape)], axis=0)
+    assert tall.shape[0] >= tall.shape[1]
+    np.testing.assert_array_equal(
+        sketch_features(tall, "pca"), _eigh_pca(tall, tall, DEFAULT_PCA_DIMS)
+    )
+    np.testing.assert_array_equal(
+        sketch_features(features, "pca", basis_features=tall),
+        _eigh_pca(tall, features, DEFAULT_PCA_DIMS),
+    )
+
+
+def test_pca_with_fewer_rows_than_features_matches_eigh(rng):
+    """N < F fits the axes by thin SVD of the centred rows: the same
+    leading directions and signs as the covariance ``eigh``, up to
+    rounding, without forming the F x F covariance."""
+    wide = rng.normal(size=(12, 40))
+    np.testing.assert_allclose(
+        sketch_features(wide, "pca", dims=5), _eigh_pca(wide, wide, 5), atol=1e-9
+    )
+    mean, axes = pca_axes(rng.normal(size=(3, 40)))
+    assert mean.shape == (1, 40)
+    assert axes.shape == (40, 3)  # capped at the number of rows
